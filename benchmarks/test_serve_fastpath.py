@@ -155,7 +155,7 @@ def run_serve(docs, columnar_serve: bool) -> ServeRun:
         detail_bytes=detail_bytes,
         materializations=daemon.datastore.materializations,
         frag_invalidations=sum(
-            a.frag_invalidations for a in daemon._serve_arenas.values()
+            a.frag_invalidations for a in daemon.datastore.arenas.values()
         ),
         replies=replies,
     )

@@ -21,7 +21,6 @@ ANALYTICS_SOURCE = "__analytics__"
 class AnalyticsConfig:
     """Configuration for the streaming analytics stage (``repro.analytics``)."""
 
-    enabled: bool = True
     #: how many finest-resolution archive rows each pass reads (the
     #: trend/anomaly window; bounded so a pass is O(window x series))
     window_rows: int = 16

@@ -138,6 +138,10 @@ class Datastore:
         #: work); 0 on a columnar-serve daemon means no query ever paid
         #: for a host tree
         self.materializations = 0
+        #: per-source fragment arenas (columnar serve).  They live here,
+        #: not on the snapshot, so fragments survive snapshot replacement
+        #: and only changed hosts re-render.
+        self.arenas: Dict[str, object] = {}
 
     def _next_stamp(self) -> int:
         self._stamp += 1
@@ -273,8 +277,18 @@ class Datastore:
         self.detail_version += 1
         return True
 
+    def arena(self, name: str):
+        """The fragment arena of one source, created on first use."""
+        arena = self.arenas.get(name)
+        if arena is None:
+            from repro.serve import FragmentArena
+
+            arena = self.arenas[name] = FragmentArena()
+        return arena
+
     def remove_source(self, name: str) -> bool:
         """Drop a source's state entirely (data-source detach)."""
+        self.arenas.pop(name, None)
         if self.sources.pop(name, None) is None:
             return False
         self.generation += 1

@@ -31,6 +31,7 @@ from repro.core.query import (
     QueryEngine,
     QueryError,
 )
+from repro.core.serving import ServingFront
 from repro.core.summarize import merge_summaries, summarize_cluster
 from repro.serve.fragments import summary_cluster_element
 from repro.wire.binfmt import (
@@ -63,10 +64,6 @@ class Gmetad(GmetadBase):
         self._summary_trackers: Dict[str, ClusterSummaryTracker] = {}
         #: per-source columnar delta summarizers (config.columnar)
         self._columnar_trackers: Dict[str, object] = {}
-        #: per-source fragment arenas (config.columnar_serve); they live
-        #: on the daemon, not the snapshot, so fragments survive snapshot
-        #: replacement and only changed hosts re-render
-        self._serve_arenas: Dict[str, object] = {}
 
     # -- polling ------------------------------------------------------------
 
@@ -196,12 +193,7 @@ class Gmetad(GmetadBase):
         self.archiver.archive_summary(source, cols.name, summary, now)
         arena = None
         if self.config.columnar_serve:
-            from repro.serve import FragmentArena
-
-            arena = self._serve_arenas.get(source)
-            if arena is None:
-                arena = FragmentArena()
-                self._serve_arenas[source] = arena
+            arena = self.datastore.arena(source)
             arena.install(cols)
         self.datastore.install(
             SourceSnapshot(
@@ -218,25 +210,9 @@ class Gmetad(GmetadBase):
 
     # -- serving -----------------------------------------------------------
 
-    def serve_query(self, request: str) -> tuple[str, float]:
-        """Serve one request through the path query engine."""
-        try:
-            query = GmetadQuery.parse(request)
-        except QueryError:
-            query = GmetadQuery()  # garbage in, full default dump out
-        seconds = self.charge(self.costs.query_fixed, "query")
-        xml, stats = self.query_engine.execute(query, self.engine.now)
-        self.last_serve_cached_bytes = stats.bytes_from_cache
-        seconds += self.charge(
-            self.costs.hash_insert * stats.hash_lookups, "query"
-        )
-        fresh_bytes = stats.bytes_serialized - stats.bytes_from_cache
-        seconds += self.charge(self.costs.serve_byte * fresh_bytes, "serve")
-        if stats.bytes_from_cache:
-            seconds += self.charge(
-                self.costs.serve_byte_cached * stats.bytes_from_cache, "serve"
-            )
-        return xml, seconds
+    #: the shared XML answer, bound in this class's own namespace because
+    #: the per-layer tracer (``perfbench/tracing.py``) wraps it per class
+    serve_query = ServingFront.serve_query
 
     def serve_binary(self, request: str):
         """Binary answer for the whole-tree summary poll.
@@ -244,13 +220,12 @@ class Gmetad(GmetadBase):
         The federation poll shape (``/?filter=summary``) always answers
         binary: it is the request every parent/peer sends on the
         background timescale, so it dominates serve-side wide-area
-        bytes.  With ``columnar_serve`` on, single-source full dumps
-        (``/source``) answer binary too -- a CLUSTER_DOC frame encoded
-        straight from the held columns, the no-XML path capable readtier
-        viewers negotiate.  Everything else declines (``None``) and
-        falls back to XML.  The documents built here mirror the query
-        engine's ``_write_tree``/``_source_fragment`` shapes element for
-        element, so a binary-decoding peer installs exactly the state an
+        bytes.  Path queries take the shared ``/source`` detail-frame
+        path (:meth:`~repro.core.serving.ServingFront.serve_binary`).
+        Everything else declines (``None``) and falls back to XML.  The
+        documents built here mirror the query engine's
+        ``_write_tree``/``_source_fragment`` shapes element for element,
+        so a binary-decoding peer installs exactly the state an
         XML-parsing peer would.
         """
         try:
@@ -258,9 +233,7 @@ class Gmetad(GmetadBase):
         except QueryError:
             return None
         if query.path:
-            if query.summary or len(query.path) != 1:
-                return None
-            return self._serve_binary_detail(query)
+            return self._serve_detail_frame(query)
         if not query.summary:
             return None
         now = self.engine.now
@@ -306,41 +279,10 @@ class Gmetad(GmetadBase):
         seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
         return frame, seconds
 
-    def _serve_binary_detail(self, query: GmetadQuery):
-        """A CLUSTER_DOC frame for one cluster source, straight from columns.
-
-        The no-XML serving path: a ``bin1``-capable viewer (or readtier
-        front door) asking for ``/source`` gets the columns re-framed,
-        never serialized to text.  Requires ``columnar_serve`` and held
-        columns; anything else declines to the XML engine.
-        """
-        if not self.config.columnar_serve:
-            return None
-        from repro.serve import columnar_detail_frame
-
-        frame = columnar_detail_frame(
-            self.datastore.source(query.path[0]), self.version
-        )
-        if frame is None:
-            return None
-        seconds = self.charge(self.costs.query_fixed, "query")
-        seconds += self.charge(self.costs.hash_insert, "query")
-        self.last_serve_cached_bytes = 0
-        seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
-        return frame, seconds
-
-    def request_is_summary(self, request: str) -> bool:
-        """Summary-form answers key off content_version (see base)."""
-        try:
-            return GmetadQuery.parse(request).summary
-        except QueryError:
-            return False
-
     def remove_data_source(self, name: str) -> None:
         super().remove_data_source(name)
         self._summary_trackers.pop(name, None)
         self._columnar_trackers.pop(name, None)
-        self._serve_arenas.pop(name, None)
 
     # -- convenience for tools/alarms -----------------------------------------
 

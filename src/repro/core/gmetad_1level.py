@@ -134,11 +134,9 @@ class OneLevelGmetad(GmetadBase):
                 writer.cluster(snapshot.cluster)
         writer.close_tag("GANGLIA_XML")
         xml = writer.result()
-        seconds = self.charge(
-            self.costs.serve_byte * (len(xml) - cached_bytes), "serve"
-        )
-        if cached_bytes:
-            seconds += self.charge(
-                self.costs.serve_byte_cached * cached_bytes, "serve"
-            )
-        return xml, seconds
+        fresh_bytes = len(xml) - cached_bytes
+        return xml, self._charge_xml(0.0, fresh_bytes, cached_bytes)
+
+    def request_is_summary(self, request: str) -> bool:
+        """Never: every request gets the full tree."""
+        return False

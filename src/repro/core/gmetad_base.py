@@ -8,7 +8,13 @@ and the TCP listener.  Subclasses define:
 - :meth:`poll_request` -- what to ask children for (full dump vs
   summary query);
 - :meth:`ingest` -- what to keep, summarize and archive;
-- :meth:`serve_query` -- what a request gets back.
+- :meth:`serve_query` -- what a request gets back, when not the path
+  query engine's answer.
+
+The serving half (shedding, the conditional and ``accept=bin1``
+handshakes, the query engine's charges) is
+:class:`~repro.core.serving.ServingFront`, shared with the read
+replicas.
 """
 
 from __future__ import annotations
@@ -20,13 +26,12 @@ import random
 from repro.core.archiver import Archiver
 from repro.core.datastore import Datastore
 from repro.core.poller import DataSourcePoller
-from repro.core.query import ServeQueue
-from repro.core.resilience import Overloaded
+from repro.core.serving import ServingFront
 from repro.core.tree import GmetadConfig
 from repro.net.address import Address
 from repro.net.fabric import Fabric
 from repro.obs.observability import Observability
-from repro.net.tcp import Response, TcpNetwork
+from repro.net.tcp import TcpNetwork
 from repro.rrd.database import RraSpec, compact_rra_specs
 from repro.rrd.store import RrdStore
 from repro.sim.engine import Engine
@@ -34,19 +39,12 @@ from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
 from repro.sim.rng import derive_seed
 from repro.wire.binfmt import (
     CLUSTER_DOC,
-    CODEC_BINARY,
     BinaryFrame,
     FrameError,
     decode_document,
     materialize_document,
-    split_accept,
 )
-from repro.wire.conditional import (
-    NotModified,
-    TaggedXml,
-    next_epoch,
-    split_generation,
-)
+from repro.wire.conditional import NotModified
 from repro.wire.model import ClusterElement, GangliaDocument, GridElement
 from repro.wire.parser import (
     ColumnarFallback,
@@ -90,7 +88,7 @@ def document_element_count(doc: GangliaDocument) -> int:
     return count
 
 
-class GmetadBase:
+class GmetadBase(ServingFront):
     """Common daemon machinery; see :class:`Gmetad` / :class:`OneLevelGmetad`."""
 
     #: GANGLIA_XML VERSION emitted; set by subclasses.
@@ -166,14 +164,14 @@ class GmetadBase:
         #: -- every hook below is guarded by ``if self.obs is not None``
         self.obs: Optional[Observability] = (
             Observability(self, config.observability)
-            if config.observability is not None and config.observability.enabled
+            if config.observability is not None
             else None
         )
         #: streaming analytics stage; None (the default) registers no
         #: flush hook, so the archiver path is untouched and output
         #: stays byte-identical to baseline
         self.analytics = None
-        if config.analytics is not None and config.analytics.enabled:
+        if config.analytics is not None:
             from repro.analytics.engine import AnalyticsEngine
 
             self.analytics = AnalyticsEngine(self, config.analytics)
@@ -184,50 +182,29 @@ class GmetadBase:
             else config.poll_interval
         )
         for i, source in enumerate(config.data_sources):
-            self.pollers[source.name] = DataSourcePoller(
-                engine,
-                tcp,
-                config.host,
-                source,
-                on_data=self._on_data,
-                on_source_down=self._on_source_down,
-                request=self.poll_request(),
-                initial_delay=(i + 1) * stride,  # stagger the poll phase
-                conditional=config.incremental,
-                on_not_modified=self._on_not_modified,
-                resilience=config.resilience,
-                rng=self._breaker_rng(source.name),
-                obs=self.obs,
-                accept_binary=config.binary_wire,
+            self.pollers[source.name] = self._new_poller(
+                source, (i + 1) * stride  # stagger the poll phase
             )
         self._server = tcp.listen(Address.gmetad(config.host), self._serve)
-        resilience = config.resilience
-        self.serve_queue: Optional[ServeQueue] = None
-        if (
-            resilience is not None
-            and resilience.enabled
-            and resilience.serve_queue_limit > 0
-        ):
-            self.serve_queue = ServeQueue(resilience.serve_queue_limit)
+        super().__init__(
+            config.name,
+            serve_queue_limit=(
+                config.resilience.serve_queue_limit
+                if config.resilience is not None
+                else 0
+            ),
+            answers_bin1=config.binary_wire,
+            columnar_serve=config.columnar_serve,
+        )
         self._started = False
-        #: serve-side epoch: generation tokens are scoped to this daemon
-        #: instance, so a restart (or fail-over to a twin) can never
-        #: produce a false NOT-MODIFIED match
-        self._serve_epoch = next_epoch(config.name)
         # stats
         self.polls_ingested = 0
         self.polls_not_modified = 0
-        self.not_modified_served = 0
         self.parse_errors = 0
         self.polls_salvaged = 0
         self.polls_quarantined = 0
         self.frames_ingested = 0
         self.frame_errors = 0
-        self.queries_served = 0
-        self.queries_shed = 0
-        #: frag-cache bytes of the most recent serve (set by subclasses
-        #: whose serve path memoizes; read by the serve instrumentation)
-        self.last_serve_cached_bytes = 0
         #: optional tap called as (source, xml, sim_time) before every
         #: ingest -- used by the trace recorder (repro.bench.trace)
         self.ingest_tap = None
@@ -236,12 +213,30 @@ class GmetadBase:
         #: broker (repro.pubsub) registers here to publish deltas.
         self.publish_hooks: List = []
 
-    def _breaker_rng(self, source: str) -> Optional[random.Random]:
-        """Seeded jitter stream for one poller's circuit breaker."""
-        if self.config.resilience is None or not self.config.resilience.enabled:
-            return None
-        return random.Random(
-            derive_seed(_BREAKER_SEED, f"{self.config.name}/{source}")
+    def _new_poller(self, source, initial_delay: float) -> DataSourcePoller:
+        """A poller for one data source, wired to this daemon."""
+        config = self.config
+        rng = None
+        if config.resilience is not None:
+            # seeded breaker jitter, so chaos runs replay identically
+            rng = random.Random(
+                derive_seed(_BREAKER_SEED, f"{config.name}/{source.name}")
+            )
+        return DataSourcePoller(
+            self.engine,
+            self.tcp,
+            config.host,
+            source,
+            on_data=self._on_data,
+            on_source_down=self._on_source_down,
+            request=self.poll_request(),
+            initial_delay=initial_delay,
+            conditional=config.incremental,
+            on_not_modified=self._on_not_modified,
+            resilience=config.resilience,
+            rng=rng,
+            obs=self.obs,
+            accept_binary=config.binary_wire,
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -276,22 +271,7 @@ class GmetadBase:
         """Attach a new data source at runtime and start polling it."""
         if source.name in self.pollers:
             raise ValueError(f"data source {source.name!r} already attached")
-        poller = DataSourcePoller(
-            self.engine,
-            self.tcp,
-            self.config.host,
-            source,
-            on_data=self._on_data,
-            on_source_down=self._on_source_down,
-            request=self.poll_request(),
-            initial_delay=initial_delay,
-            conditional=self.config.incremental,
-            on_not_modified=self._on_not_modified,
-            resilience=self.config.resilience,
-            rng=self._breaker_rng(source.name),
-            obs=self.obs,
-            accept_binary=self.config.binary_wire,
-        )
+        poller = self._new_poller(source, initial_delay)
         self.pollers[source.name] = poller
         self.config.data_sources.append(source)
         if self._started:
@@ -554,7 +534,7 @@ class GmetadBase:
         returns False: the paper-faithful mark-failure path runs.
         """
         resilience = self.config.resilience
-        if resilience is None or not resilience.enabled or not resilience.salvage:
+        if resilience is None or not resilience.salvage:
             return False
         poller = self.pollers.get(source)
         if self.source_kind(source) == "cluster":
@@ -630,111 +610,6 @@ class GmetadBase:
         for hook in self.publish_hooks:
             hook(source, now)
 
-    # -- serving path (query timescale) -----------------------------------
-
-    def _serve(self, client: str, request: object) -> Response:
-        response = self._serve_response(client, request)
-        if self.serve_queue is not None:
-            now = self.engine.now
-            # oldest-first shedding: completed serves purge for free;
-            # anyone still waiting past the bound gets an explicit
-            # OVERLOADED reply (their response payload is rewritten in
-            # place before delivery) so clients see "busy", not "dead"
-            for victim in self.serve_queue.make_room(now):
-                victim.payload = Overloaded()
-                self.queries_shed += 1
-                if self.obs is not None:
-                    self.obs.record_shed()
-            self.serve_queue.push(now + response.service_seconds, response)
-        return response
-
-    def _serve_response(self, client: str, request: object) -> Response:
-        self.queries_served += 1
-        obs = self.obs
-        seconds = self.charge(self.costs.tcp_connect, "network")
-        base, presented = split_generation(str(request))
-        base, accept = split_accept(base)
-        wants_binary = accept == CODEC_BINARY and self.config.binary_wire
-        if presented is None:
-            # unconditional request: plain payload, exactly as before
-            if wants_binary:
-                binary = self.serve_binary(base)
-                if binary is not None:
-                    frame, serve_seconds = binary
-                    if obs is not None:
-                        obs.record_serve(
-                            base, seconds + serve_seconds, len(frame),
-                            cached_bytes=self.last_serve_cached_bytes,
-                            codec="binary",
-                        )
-                    return Response(
-                        BinaryFrame(frame),
-                        service_seconds=seconds + serve_seconds,
-                    )
-            self.last_serve_cached_bytes = 0
-            xml, serve_seconds = self.serve_query(base)
-            if obs is not None:
-                obs.record_serve(
-                    base, seconds + serve_seconds, len(xml),
-                    cached_bytes=self.last_serve_cached_bytes,
-                )
-            return Response(xml, service_seconds=seconds + serve_seconds)
-        current = self.serve_generation(base)
-        if presented == current:
-            # HTTP-304 analogue; localtime rides along so the poller can
-            # refresh the report timestamp without a transfer (the same
-            # way a 304 updates the Date header)
-            self.not_modified_served += 1
-            if obs is not None:
-                obs.record_serve(base, seconds, 0, outcome="not_modified")
-            return Response(
-                NotModified(
-                    generation=current,
-                    localtime=float(f"{self.engine.now:.0f}"),
-                ),
-                service_seconds=seconds,
-            )
-        if wants_binary:
-            binary = self.serve_binary(base)
-            if binary is not None:
-                frame, serve_seconds = binary
-                if obs is not None:
-                    obs.record_serve(
-                        base, seconds + serve_seconds, len(frame),
-                        cached_bytes=self.last_serve_cached_bytes,
-                        codec="binary",
-                    )
-                return Response(
-                    BinaryFrame(frame, generation=current),
-                    service_seconds=seconds + serve_seconds,
-                )
-        self.last_serve_cached_bytes = 0
-        xml, serve_seconds = self.serve_query(base)
-        if obs is not None:
-            obs.record_serve(
-                base, seconds + serve_seconds, len(xml),
-                cached_bytes=self.last_serve_cached_bytes,
-            )
-        return Response(
-            TaggedXml(xml, current), service_seconds=seconds + serve_seconds
-        )
-
-    def serve_generation(self, request: str) -> str:
-        """Opaque content-generation token for one request's answer.
-
-        Summary-form answers key off ``content_version`` only; full-form
-        answers also move with freshness patches (``detail_version``),
-        so a full-dump poller re-fetches when a nested report timestamp
-        moved while a summary poller keeps getting NOT-MODIFIED.
-        """
-        if self.request_is_summary(request):
-            return f"{self._serve_epoch}:s{self.datastore.content_version}"
-        return f"{self._serve_epoch}:f{self.datastore.detail_version}"
-
-    def request_is_summary(self, request: str) -> bool:
-        """Whether a request gets summary-form output (design-specific)."""
-        return False
-
     # -- subclass interface ---------------------------------------------------
 
     def poll_request(self) -> str:
@@ -749,17 +624,3 @@ class GmetadBase:
         """Fold one columnar-parsed poll in; only designs with
         ``supports_columnar = True`` implement this."""
         raise NotImplementedError
-
-    def serve_query(self, request: str) -> tuple[str, float]:
-        """Returns (xml, service_seconds_charged)."""
-        raise NotImplementedError
-
-    def serve_binary(self, request: str):
-        """Answer one request as binary frame bytes, if this design can.
-
-        Returns ``(frame_bytes, service_seconds_charged)`` or ``None``
-        to decline -- the caller then serves XML, which is always
-        correct: the requester's ``accept=`` token is an offer, not a
-        demand.  The base implementation declines everything.
-        """
-        return None

@@ -113,11 +113,9 @@ class DataSourcePoller:
         self._initial_delay = (
             initial_delay if initial_delay is not None else config.poll_interval
         )
-        #: gray-failure resilience; None (or enabled=False) keeps every
-        #: code path below byte-identical to the paper-faithful baseline
-        self.resilience = (
-            resilience if resilience is not None and resilience.enabled else None
-        )
+        #: gray-failure resilience; None keeps every code path below
+        #: byte-identical to the paper-faithful baseline
+        self.resilience = resilience
         self.adaptive: Optional[AdaptiveTimeout] = None
         self.breaker: Optional[CircuitBreaker] = None
         self._health: Dict[Address, float] = {}

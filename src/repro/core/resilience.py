@@ -67,7 +67,6 @@ class ResilienceConfig:
     loosen the original guarantees.
     """
 
-    enabled: bool = True
     # -- adaptive timeout (EWMA/variance, RFC6298-shaped) -----------------
     min_timeout: float = 0.5
     rtt_alpha: float = 0.125

@@ -282,7 +282,7 @@ class Observability:
                 getattr(gmetad, "frame_errors", 0)
             )
         if self._serve_split:
-            arenas = getattr(gmetad, "_serve_arenas", {})
+            arenas = gmetad.datastore.arenas
             registry.gauge("serve_frag_hits").set(
                 sum(a.frag_hits for a in arenas.values())
             )
@@ -294,7 +294,7 @@ class Observability:
             )
             # the count the fast path exists to hold at zero
             registry.gauge("serve_materializations").set(
-                getattr(gmetad.datastore, "materializations", 0)
+                gmetad.datastore.materializations
             )
         conditional_total = gmetad.polls_ingested + gmetad.polls_not_modified
         registry.gauge("conditional_poll_hit_ratio").set(

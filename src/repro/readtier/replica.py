@@ -4,10 +4,13 @@ A replica owns its own simulated host, CPU account, datastore and query
 engine; it subscribes to the ingest gmetad's pub-sub broker on the
 hidden ``/__repl__`` path and mirrors the replication feed
 (:mod:`repro.readtier.feed`).  Viewer queries land on the replica's own
-``Address.gmetad`` endpoint and are served through exactly the code the
-ingest daemon uses -- same query engine, same CPU charge pattern, same
-conditional-poll handshake -- so a replica is a drop-in target for any
-existing viewer.
+``Address.gmetad`` endpoint and are answered by
+:class:`~repro.core.serving.ServingFront`, the request handling the
+ingest daemon inherits too -- same shedding, same conditional-poll and
+``accept=bin1`` handshakes, same query engine and CPU charges -- so a
+replica is a drop-in target for any existing viewer.  What differs is
+data: a replica has no self-observability, and answers bin1 only for
+``/<cluster>`` detail queries, and only with ``columnar_serve`` on.
 
 Generation barrier
     Each applied feed message is one atomic diff of the broker's
@@ -37,16 +40,11 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.datastore import Datastore, SourceSnapshot
 from repro.core.gmetad_base import document_element_count
-from repro.core.query import (
-    GmetadQuery,
-    QueryEngine,
-    QueryError,
-    ServeQueue,
-)
-from repro.core.resilience import Overloaded
+from repro.core.query import QueryEngine
+from repro.core.serving import ServingFront
 from repro.net.address import Address
 from repro.net.fabric import Fabric
-from repro.net.tcp import Response, TcpNetwork
+from repro.net.tcp import TcpNetwork
 from repro.pubsub import messages
 from repro.pubsub.client import PUSH_NOTIFY_PORT, PushClient
 from repro.readtier.config import ReadTierConfig
@@ -59,13 +57,6 @@ from repro.readtier.feed import (
 )
 from repro.sim.engine import Engine
 from repro.sim.resources import DEFAULT_CAPACITY, CostModel, CpuAccount
-from repro.wire.binfmt import CODEC_BINARY, BinaryFrame, split_accept
-from repro.wire.conditional import (
-    NotModified,
-    TaggedXml,
-    next_epoch,
-    split_generation,
-)
 from repro.wire.model import SummaryInfo
 from repro.wire.parser import ParseError, parse_document
 
@@ -76,7 +67,7 @@ class FeedError(RuntimeError):
     """The replication feed delivered an inconsistent or unparseable batch."""
 
 
-class ReadReplica:
+class ReadReplica(ServingFront):
     """One serving replica of an ingest gmetad."""
 
     def __init__(
@@ -108,8 +99,11 @@ class ReadReplica:
         self.cpu = CpuAccount(self.name, capacity)
         self.datastore = Datastore()
         self.version = getattr(ingest, "version", "2.5.4")
-        self.columnar_serve = bool(
-            getattr(self.config, "columnar_serve", False)
+        super().__init__(
+            self.name,
+            serve_queue_limit=self.config.serve_queue_limit,
+            answers_bin1=self.config.columnar_serve,
+            columnar_serve=self.config.columnar_serve,
         )
         self.query_engine = QueryEngine(
             self.datastore,
@@ -119,19 +113,8 @@ class ReadReplica:
             memoize=True,
             columnar_serve=self.columnar_serve,
         )
-        #: per-source fragment arenas + shared intern pool
-        #: (config.columnar_serve); daemon-owned so fragments survive
-        #: snapshot replacement, exactly as on the ingest gmetad
-        self._serve_arenas: Dict[str, object] = {}
+        #: intern pool of the columns rebuilt for columnar serving
         self._intern_pool = None
-        self.serve_queue: Optional[ServeQueue] = (
-            ServeQueue(self.config.serve_queue_limit)
-            if self.config.serve_queue_limit > 0
-            else None
-        )
-        #: replica-private epoch: a viewer failing over between replicas
-        #: (or back to the ingest daemon) can never get a false 304
-        self._serve_epoch = next_epoch(self.name)
         self.address = Address.gmetad(self.host)
         self.client = PushClient(
             engine,
@@ -152,10 +135,6 @@ class ReadReplica:
         self.installs = 0
         self.removals = 0
         self.barrier_aborts = 0
-        self.queries_served = 0
-        self.queries_shed = 0
-        self.not_modified_served = 0
-        self.binary_served = 0
         self._started = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -266,7 +245,6 @@ class ReadReplica:
             self.installs += 1
         for source in removals:
             if self.datastore.remove_source(source):
-                self._serve_arenas.pop(source, None)
                 self.removals += 1
         try:
             triple = tuple(int(part) for part in gen.split(":"))
@@ -293,15 +271,11 @@ class ReadReplica:
         if cluster is None or cluster.is_summary or not cluster.hosts:
             return
         from repro.columnar import InternPool, columns_from_cluster
-        from repro.serve import FragmentArena
 
         if self._intern_pool is None:
             self._intern_pool = InternPool()
         cols = columns_from_cluster(cluster, self._intern_pool)
-        arena = self._serve_arenas.get(snapshot.name)
-        if arena is None:
-            arena = FragmentArena()
-            self._serve_arenas[snapshot.name] = arena
+        arena = self.datastore.arena(snapshot.name)
         arena.install(cols)
         snapshot.columns = cols
         snapshot.arena = arena
@@ -311,7 +285,7 @@ class ReadReplica:
     ) -> Tuple[SourceSnapshot, bool, str, str]:
         """Parse one source's feed records back into a snapshot."""
         meta = json.loads(meta_raw)
-        kind = meta.get("k", "cluster")
+        kind = "cluster" if meta.get("k", "cluster") == "cluster" else "grid"
         self.charge(
             self.costs.parse_byte * (len(detail) + len(summary)), "parse"
         )
@@ -321,44 +295,23 @@ class ReadReplica:
             self.costs.hash_insert * document_element_count(detail_doc),
             "parse",
         )
-        if kind == "cluster":
-            if not detail_doc.clusters or not summary_doc.clusters:
-                raise FeedError(f"feed for {source!r} lost its cluster")
-            cluster = next(iter(detail_doc.clusters.values()))
-            summary_cluster = next(iter(summary_doc.clusters.values()))
-            info = (
-                summary_cluster.summary
-                if summary_cluster.summary is not None
-                else SummaryInfo()
-            )
-            if meta.get("cs"):
-                # restore the ingest-side aliasing the full-form
-                # serialization dropped (see repro.readtier.feed)
-                cluster.summary = info
-            snapshot = SourceSnapshot(
-                name=source,
-                kind="cluster",
-                summary=info,
-                cluster=cluster,
-                authority=meta.get("a", ""),
-            )
-        else:
-            if not detail_doc.grids or not summary_doc.grids:
-                raise FeedError(f"feed for {source!r} lost its grid")
-            grid = next(iter(detail_doc.grids.values()))
-            summary_grid = next(iter(summary_doc.grids.values()))
-            info = (
-                summary_grid.summary
-                if summary_grid.summary is not None
-                else SummaryInfo()
-            )
-            snapshot = SourceSnapshot(
-                name=source,
-                kind="grid",
-                summary=info,
-                grid=grid,
-                authority=meta.get("a", ""),
-            )
+        elements = getattr(detail_doc, f"{kind}s")
+        summaries = getattr(summary_doc, f"{kind}s")
+        if not elements or not summaries:
+            raise FeedError(f"feed for {source!r} lost its {kind}")
+        element = next(iter(elements.values()))
+        info = next(iter(summaries.values())).summary or SummaryInfo()
+        if kind == "cluster" and meta.get("cs"):
+            # restore the ingest-side aliasing the full-form
+            # serialization dropped (see repro.readtier.feed)
+            element.summary = info
+        snapshot = SourceSnapshot(
+            name=source,
+            kind=kind,
+            summary=info,
+            authority=meta.get("a", ""),
+            **{kind: element},
+        )
         return snapshot, bool(meta.get("u", 1)), detail, summary
 
     def _wrap(self, fragment: str) -> str:
@@ -368,109 +321,9 @@ class ReadReplica:
             f"{fragment}</GANGLIA_XML>\n"
         )
 
-    # -- serving path (mirrors GmetadBase / Gmetad) ------------------------
+    # -- serving ------------------------------------------------------------
 
-    def serve_query(self, request: str) -> Tuple[str, float]:
-        """Serve one request; same engine and charges as the ingest daemon."""
-        try:
-            query = GmetadQuery.parse(request)
-        except QueryError:
-            query = GmetadQuery()  # garbage in, full default dump out
-        seconds = self.charge(self.costs.query_fixed, "query")
-        xml, stats = self.query_engine.execute(query, self.engine.now)
-        seconds += self.charge(
-            self.costs.hash_insert * stats.hash_lookups, "query"
-        )
-        fresh_bytes = stats.bytes_serialized - stats.bytes_from_cache
-        seconds += self.charge(self.costs.serve_byte * fresh_bytes, "serve")
-        if stats.bytes_from_cache:
-            seconds += self.charge(
-                self.costs.serve_byte_cached * stats.bytes_from_cache, "serve"
-            )
-        return xml, seconds
-
-    def serve_generation(self, request: str) -> str:
-        """Conditional-poll token; scoped to this replica's epoch."""
-        try:
-            is_summary = GmetadQuery.parse(request).summary
-        except QueryError:
-            is_summary = False
-        if is_summary:
-            return f"{self._serve_epoch}:s{self.datastore.content_version}"
-        return f"{self._serve_epoch}:f{self.datastore.detail_version}"
-
-    def _serve(self, client: str, request: object) -> Response:
-        response = self._serve_response(client, request)
-        if self.serve_queue is not None:
-            now = self.engine.now
-            for victim in self.serve_queue.make_room(now):
-                victim.payload = Overloaded()
-                self.queries_shed += 1
-            self.serve_queue.push(now + response.service_seconds, response)
-        return response
-
-    def _serve_response(self, client: str, request: object) -> Response:
-        self.queries_served += 1
-        seconds = self.charge(self.costs.tcp_connect, "network")
-        base, presented = split_generation(str(request))
-        base, accept = split_accept(base)
-        wants_binary = accept == CODEC_BINARY and self.columnar_serve
-        if presented is None:
-            if wants_binary:
-                binary = self.serve_binary(base)
-                if binary is not None:
-                    frame, serve_seconds = binary
-                    return Response(
-                        BinaryFrame(frame),
-                        service_seconds=seconds + serve_seconds,
-                    )
-            xml, serve_seconds = self.serve_query(base)
-            return Response(xml, service_seconds=seconds + serve_seconds)
-        current = self.serve_generation(base)
-        if presented == current:
-            self.not_modified_served += 1
-            return Response(
-                NotModified(
-                    generation=current,
-                    localtime=float(f"{self.engine.now:.0f}"),
-                ),
-                service_seconds=seconds,
-            )
-        if wants_binary:
-            binary = self.serve_binary(base)
-            if binary is not None:
-                frame, serve_seconds = binary
-                return Response(
-                    BinaryFrame(frame, generation=current),
-                    service_seconds=seconds + serve_seconds,
-                )
-        xml, serve_seconds = self.serve_query(base)
-        return Response(
-            TaggedXml(xml, current), service_seconds=seconds + serve_seconds
-        )
-
-    def serve_binary(self, request: str):
-        """A GBF1 frame for a ``/source`` detail query, or None.
-
-        Mirrors :meth:`repro.core.gmetad.Gmetad._serve_binary_detail`:
-        only unconditional single-segment cluster path queries with held
-        columns go binary; everything else falls back to the XML engine.
-        """
-        try:
-            query = GmetadQuery.parse(request)
-        except QueryError:
-            return None
-        if query.summary or len(query.path) != 1:
-            return None
-        from repro.serve import columnar_detail_frame
-
-        frame = columnar_detail_frame(
-            self.datastore.source(query.path[0]), self.version
-        )
-        if frame is None:
-            return None
-        seconds = self.charge(self.costs.query_fixed, "query")
-        seconds += self.charge(self.costs.hash_insert, "query")
-        seconds += self.charge(self.costs.serve_byte * len(frame), "serve")
-        self.binary_served += 1
-        return frame, seconds
+    # the shared entry points, bound in this class's own namespace because
+    # the per-layer tracer (``perfbench/tracing.py``) wraps them per class
+    serve_query = ServingFront.serve_query
+    serve_binary = ServingFront.serve_binary

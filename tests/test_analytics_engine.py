@@ -70,13 +70,6 @@ class TestAnalyticsConfig:
         daemon, _ = make_daemon(engine, fabric, tcp, rngs)
         assert daemon.analytics is None
 
-    def test_disabled_config_stays_off(self, engine, fabric, tcp, rngs):
-        daemon, _ = make_daemon(
-            engine, fabric, tcp, rngs,
-            analytics=AnalyticsConfig(enabled=False),
-        )
-        assert daemon.analytics is None
-
 
 class TestGmetadConfDirective:
     CONF = 'data_source "meteor" 15 m1:8649\n'
@@ -91,7 +84,6 @@ class TestGmetadConfDirective:
         assert parsed.analytics is True
         config = parsed.to_gmetad_config("h")
         assert isinstance(config.analytics, AnalyticsConfig)
-        assert config.analytics.enabled
 
     def test_off_explicit(self):
         parsed = parse_gmetad_conf(self.CONF + "analytics off\n")

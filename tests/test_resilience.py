@@ -399,14 +399,6 @@ class TestResilientPoller:
         assert downs == []
         assert poller.breaker.state == CLOSED
 
-    def test_disabled_config_is_inert(self, engine, poller_world):
-        poller, _, _ = make_poller(
-            engine, poller_world, ResilienceConfig(enabled=False)
-        )
-        assert poller.resilience is None
-        assert poller.breaker is None
-        assert poller.adaptive is None
-
 
 # -- end-to-end: salvage, quarantine, shedding ------------------------------
 
@@ -650,8 +642,7 @@ class TestLoadShedding:
 
 
 class TestBaselineEquivalence:
-    """With the layer disabled, behaviour is byte-identical to a build
-    without a resilience config at all (the paper-faithful baseline)."""
+    """On a healthy federation the layer changes nothing observable."""
 
     @staticmethod
     def run_federation(resilience):
@@ -663,22 +654,6 @@ class TestBaselineEquivalence:
         ).start()
         federation.engine.run_for(120.0)
         return federation
-
-    def test_disabled_layer_is_byte_identical(self):
-        off = self.run_federation(ResilienceConfig(enabled=False))
-        none = self.run_federation(None)
-        for name in none.gmetads:
-            xml_none, _ = none.gmetads[name].serve_query("/")
-            xml_off, _ = off.gmetads[name].serve_query("/")
-            assert xml_none == xml_off, f"{name} output diverged"
-        assert none.tcp.requests_sent == off.tcp.requests_sent
-        assert none.tcp.responses_delivered == off.tcp.responses_delivered
-        for name in none.gmetads:
-            for source, poller in none.gmetads[name].pollers.items():
-                twin = off.gmetads[name].pollers[source]
-                assert (poller.polls, poller.successes, poller.failovers) == (
-                    twin.polls, twin.successes, twin.failovers
-                )
 
     def test_enabled_layer_is_quiet_on_a_healthy_federation(self):
         """With no faults, resilience changes nothing observable about

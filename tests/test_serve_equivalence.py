@@ -114,11 +114,11 @@ def assert_arenas_engaged(fast):
     answered at least one detail request out of them."""
     engaged = 0
     for g in fast.gmetads.values():
-        if not g._serve_arenas:
+        if not g.datastore.arenas:
             continue
         engaged += 1
         served = sum(
-            a.frag_hits + a.frag_misses for a in g._serve_arenas.values()
+            a.frag_hits + a.frag_misses for a in g.datastore.arenas.values()
         )
         assert served > 0, "arena installed but never consulted"
     assert engaged
@@ -156,7 +156,7 @@ def test_mutations_and_host_death(incremental):
     invalidated = sum(
         a.frag_invalidations
         for g in fast.gmetads.values()
-        for a in g._serve_arenas.values()
+        for a in g.datastore.arenas.values()
     )
     assert invalidated > 0  # the mutations really cycled fragments
 
@@ -232,7 +232,7 @@ def test_flag_off_declines_binary_detail(engine, fabric, tcp, rngs):
     daemon = Gmetad(engine, fabric, tcp, config).start()
     engine.run_for(60.0)
     assert daemon.serve_binary("/meteor") is None
-    assert not daemon._serve_arenas
+    assert not daemon.datastore.arenas
 
 
 # -- read tier --------------------------------------------------------------
