@@ -9,8 +9,8 @@ pipeline at 100/500/1000 hosts, four ways:
 - ``tree``: TreeBuilder DOM parse -> scalar summarize -> one
   ``RrdStore.update`` per metric (the baseline the paper describes);
 - ``columnar``: interned SAX parse into structure-of-arrays ->
-  vectorized summarize -> one batch scatter per poll
-  (``GmetadConfig.columnar``);
+  vectorized summarize -> one batch scatter per poll (the N-level
+  gmetad's cluster-dump pipeline);
 
 each crossed with the PR 2 summarization mode: ``eager`` (full additive
 reduction every poll) and ``incremental`` (delta tracker re-folds only

@@ -112,7 +112,7 @@ def run_serve(docs, columnar_serve: bool) -> ServeRun:
     tcp = TcpNetwork(engine, fabric)
     config = GmetadConfig(
         name="serve", host="gmeta-serve", archive_mode="account",
-        columnar=True, columnar_serve=columnar_serve,
+        columnar_serve=columnar_serve,
     )
     daemon = Gmetad(engine, fabric, tcp, config)
     host_names = sorted(docs[0].clusters[0].host_names)
@@ -208,7 +208,7 @@ def run_fleet(columnar_serve: bool) -> FleetRun:
     tcp = TcpNetwork(engine, fabric)
     rngs = RngRegistry(23)
     config = GmetadConfig(
-        name="sdsc", host="gmeta-sdsc", archive_mode="account", columnar=True,
+        name="sdsc", host="gmeta-sdsc", archive_mode="account",
     )
     for i in range(FLEET_SOURCES):
         name = f"c{i:02d}"

@@ -223,7 +223,6 @@ def run_replay(
         host="gmeta-replay",
         archive_mode="full",
         incremental=True,
-        columnar=not storage,
         storage_tier=(
             StorageTierConfig(nodes=4, replication=2) if storage else None
         ),

@@ -143,7 +143,7 @@ def build_paper_tree(
     incremental: bool = False,
     resilience: Optional[ResilienceConfig] = None,
     observability: Optional[ObservabilityConfig] = None,
-    columnar: bool = False,
+    columnar: bool = True,
     columnar_serve: bool = False,
     binary_wire: bool = False,
     binary_gmonds: Optional[Dict[str, bool]] = None,
@@ -181,15 +181,15 @@ def build_paper_tree(
     (adaptive timeouts, health-biased fail-over, circuit breakers,
     salvage ingest).  Default ``None``: the paper-faithful baseline.
 
-    ``columnar`` turns on the columnar ingest fast path (interned
-    streaming parse, vectorized summarization, batched RRD scatter) on
-    every gmetad.  Off by default for the same reason as
-    ``incremental``; flipping it changes wall-clock time only.
+    ``columnar`` accepts only ``True`` and has no effect: N-level
+    gmetads always ingest cluster dumps through the columnar pipeline.
+    The keyword stays for callers written when it was an option (the
+    Fig. 2 benchmark's profiles pass it); ``False`` raises ValueError.
 
-    ``columnar_serve`` additionally serves detail and path queries by
-    splicing pre-rendered per-host fragments straight from the columns
+    ``columnar_serve`` serves detail and path queries by splicing
+    pre-rendered per-host fragments straight from the columns
     (:mod:`repro.serve`) -- replies stay byte-identical, unchanged-host
-    bytes are charged at the memcpy rate.  Requires ``columnar``.
+    bytes are charged at the memcpy rate.
 
     ``observability`` attaches one shared
     :class:`~repro.obs.config.ObservabilityConfig` to every gmetad
@@ -219,6 +219,8 @@ def build_paper_tree(
     and an in-band ``__analytics__`` signal cluster.  Default ``None``:
     no analytics, output byte-identical to baseline.
     """
+    if not columnar:
+        raise ValueError("cluster dumps always take the columnar pipeline")
     engine = engine or Engine()
     fabric = Fabric()
     rngs = RngRegistry(seed)
@@ -239,7 +241,6 @@ def build_paper_tree(
             incremental=incremental,
             resilience=resilience,
             observability=observability,
-            columnar=columnar,
             columnar_serve=columnar_serve,
             binary_wire=binary_wire,
             storage_tier=storage_tier,

@@ -1,6 +1,6 @@
-"""Columnar ingest fast path: structure-of-arrays cluster polls.
+"""Columnar ingest: structure-of-arrays cluster polls.
 
-The tree ingest path re-materializes a Python object per XML element
+A tree ingest path re-materializes a Python object per XML element
 every polling interval -- "incoming XML must be parsed" (§2.3.1) -- and
 then walks those objects one host at a time to summarize and archive.
 This package keeps one poll as a handful of contiguous numpy arrays
@@ -15,9 +15,10 @@ instead, so the per-metric work collapses into vectorized kernels:
   reference paths in :mod:`repro.core.summarize` /
   :mod:`repro.core.delta_summary`.
 
-Everything is gated by ``GmetadConfig.columnar`` (default off) and the
-on-wire output is byte-identical either way -- same discipline as the
-incremental-ingest, resilience and observability layers before it.
+The N-level gmetad ingests every full-form cluster dump this way; the
+1-level design keeps the tree path.  The two charge the same CPU and
+serve the same bytes, which the twin suites pin against a tree-ingest
+reference daemon.
 """
 
 from repro.columnar.layout import (

@@ -157,8 +157,10 @@ class ColumnarSummaryTracker:
 
     When consecutive polls share a layout (same hosts, same metric rows,
     same liveness -- the overwhelmingly common case), changed hosts are
-    found with one vectorized value comparison; otherwise a per-host
-    slow path reproduces the scalar comparison, down to its key-*set*
+    found with one vectorized value comparison and folded in as one
+    batch (:meth:`_update_batched`), or one host at a time where the
+    batch cannot reproduce the scalar fold; otherwise a per-host slow
+    path reproduces the scalar comparison, down to its key-*set*
     (order-insensitive) semantics.
     """
 
@@ -233,6 +235,47 @@ class ColumnarSummaryTracker:
             table[: len(self._slot_of_nid)] = self._slot_of_nid
             self._slot_of_nid = table
 
+    def _add_distinct(self, slots: np.ndarray, values: np.ndarray) -> None:
+        """One compensated add of ``values[i]`` into ``slots[i]``; the
+        slots are distinct (one host reports a metric once)."""
+        s = self._sum[slots]
+        t = s + values
+        self._comp[slots] += np.where(
+            np.abs(s) >= np.abs(values), (s - t) + values, (values - t) + s
+        )
+        self._sum[slots] = t
+        self._tot[slots] = t + self._comp[slots]
+
+    def _accumulate(self, slots: np.ndarray, values: np.ndarray) -> None:
+        """Compensated-add ``values[i]`` into ``slots[i]``, in order.
+
+        Bit-identical to :meth:`_add_distinct` one value at a time,
+        repeated slots included: each slot's adds are laid down one
+        column of a matrix whose row 0 holds the running sums, and
+        ``np.add.accumulate`` replays them strictly in order.  Padding
+        is -0.0, the exact additive identity (it keeps the sign of a
+        zero, too).
+        """
+        uniq, col = np.unique(slots, return_inverse=True)
+        order = np.argsort(col, kind="stable")
+        grouped = col[order]
+        step = np.empty_like(col)
+        step[order] = np.arange(len(col)) - np.searchsorted(grouped, grouped)
+        seq = np.full((int(step.max()) + 2, len(uniq)), -0.0)
+        seq[0] = self._sum[uniq]
+        seq[step + 1, col] = values
+        sums = np.add.accumulate(seq, axis=0)
+        s, t, v = sums[:-1], sums[1:], seq[1:]
+        with np.errstate(invalid="ignore"):
+            err = np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
+        pad = np.ones(err.shape, dtype=bool)
+        pad[step, col] = False
+        err[pad] = -0.0
+        comp = np.add.accumulate(np.vstack([self._comp[uniq], err]), axis=0)
+        self._sum[uniq] = sums[-1]
+        self._comp[uniq] = comp[-1]
+        self._tot[uniq] = sums[-1] + comp[-1]
+
     # -- per-host add/subtract (each mirrors one scalar loop) --------------
 
     def _subtract_host(self, st: _HostState) -> int:
@@ -247,14 +290,7 @@ class ColumnarSummaryTracker:
         drained = self._num[slots] == 0
         live = slots[~drained]
         if live.size:
-            v = -st.values[~drained]
-            s = self._sum[live]
-            t = s + v
-            self._comp[live] += np.where(
-                np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s
-            )
-            self._sum[live] = t
-            self._tot[live] = t + self._comp[live]
+            self._add_distinct(live, -st.values[~drained])
         if drained.any():
             # last reporter left: drop the reduction and free its slot
             # (an eager re-fold would simply not produce the metric)
@@ -295,14 +331,7 @@ class ColumnarSummaryTracker:
         existing = ~missing
         if existing.any():
             ls = slots[existing]
-            v = st.values[existing]
-            s = self._sum[ls]
-            t = s + v
-            self._comp[ls] += np.where(
-                np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s
-            )
-            self._sum[ls] = t
-            self._tot[ls] = t + self._comp[ls]
+            self._add_distinct(ls, st.values[existing])
             self._num[ls] += 1
             u = self._uid[ls]
             backfill = u == self._pool.empty_id
@@ -390,13 +419,16 @@ class ColumnarSummaryTracker:
             diff = mask & (cols.values != prev.values)  # NaN: changed
             if diff.any():
                 changed = np.unique(cols.row_host[diff])
-                for h in changed:  # ascending == document order
-                    name = cols.host_names[h]
-                    st = self._hosts[name]
-                    ops += self._subtract_host(st)
-                    fresh = self._fresh_state(cols, int(h), True)
-                    ops += self._add_host(fresh) + 1
-                    self._hosts[name] = fresh
+                batched = self._update_batched(cols, changed)
+                if batched is not None:
+                    ops = batched
+                else:
+                    for h in changed:  # ascending == document order
+                        name = cols.host_names[h]
+                        ops += self._subtract_host(self._hosts[name])
+                        fresh = self._fresh_state(cols, int(h), True)
+                        ops += self._add_host(fresh) + 1
+                        self._hosts[name] = fresh
         else:
             # removed hosts: subtract their stale contributions
             index = cols.host_index
@@ -424,6 +456,56 @@ class ColumnarSummaryTracker:
         self._prev = cols
         self._prev_up = up
         return self._snapshot(), ops
+
+    def _update_batched(
+        self, cols: ColumnarCluster, changed: np.ndarray
+    ) -> Optional[int]:
+        """Fold the changed hosts of a same-layout poll as one batch.
+
+        The per-host fold's adds (host by host: old values out, new
+        values in) run as one :meth:`_accumulate`.  Returns the op
+        count, or None, having changed nothing, when the batch cannot
+        reproduce that fold: a changed host is some metric's sole
+        reporter (the metric drains and re-enters at the end of the
+        order), holds its metrics in another order than the poll's, or
+        the adds are too ragged to lay out as one dense matrix.
+        """
+        old = [self._hosts[cols.host_names[h]] for h in changed.tolist()]
+        picked = np.zeros(cols.host_count, dtype=bool)
+        picked[changed] = True
+        rows = np.flatnonzero(cols.valid & picked[cols.row_host])
+        counts = np.bincount(cols.row_host[rows], minlength=cols.host_count)
+        counts = counts[changed]
+        slots = np.concatenate([st.slots for st in old])
+        per_slot = np.bincount(slots)
+        if (
+            [st.count() for st in old] != counts.tolist()
+            or not np.array_equal(
+                np.concatenate([st.name_ids for st in old]),
+                cols.name_ids[rows],
+            )
+            or (self._num[slots] == 1).any()
+            or per_slot.max() * np.count_nonzero(per_slot)
+            > 4 * len(rows) + 2048
+        ):
+            return None
+        # interleave per host: its old values out, then its new values in
+        n = len(rows)
+        at = np.arange(n) + np.repeat(np.cumsum(counts) - counts, counts)
+        back = at + np.repeat(counts, counts)
+        seq_slots = np.empty(2 * n, dtype=slots.dtype)
+        seq_slots[at] = seq_slots[back] = slots
+        values = cols.values[rows]
+        seq_values = np.empty(2 * n)
+        seq_values[at] = -np.concatenate([st.values for st in old])
+        seq_values[back] = values
+        # NUM is unchanged and so is every UNITS id (same layout), so
+        # there is nothing to backfill
+        self._accumulate(seq_slots, seq_values)
+        ends = np.cumsum(counts).tolist()
+        for st, a, b in zip(old, [0] + ends, ends):
+            st.values = values[a:b]
+        return 2 * n + len(changed)
 
     def _snapshot(self) -> SummaryInfo:
         pool = self._pool
@@ -455,10 +537,3 @@ class ColumnarSummaryTracker:
         self._order.clear()
         if len(self._slot_of_nid):
             self._slot_of_nid[:] = -1
-
-    def reset(self) -> None:
-        """Forget all state (source removed or re-pointed)."""
-        self._hosts.clear()
-        self._reset_accumulators()
-        self._prev = None
-        self._prev_up = None

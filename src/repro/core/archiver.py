@@ -9,10 +9,15 @@ Archiving policy differences between the designs:
 
 - 1-level: :meth:`archive_cluster_detail` for *every* cluster in the
   subtree (the duplicated archives of Fig. 3 left);
-- N-level: :meth:`archive_cluster_detail` only for local clusters plus
-  :meth:`archive_summary` for everything ("Nodes in the N-level
-  monitoring tree keep only summary archives of descendants rather than
-  full duplicates").
+- N-level: :meth:`archive_cluster_detail_columns` only for local
+  clusters plus :meth:`archive_summary` for everything ("Nodes in the
+  N-level monitoring tree keep only summary archives of descendants
+  rather than full duplicates").
+
+A (source, cluster) is held in one form only: scalar
+(:meth:`archive_cluster_detail` -- the 1-level design and the in-band
+``__gmetad__``/``__analytics__`` clusters) or columnar (every N-level
+cluster dump).
 """
 
 from __future__ import annotations
@@ -119,11 +124,6 @@ class Archiver:
                 batch.append((key, value))
                 updates += 1
         self._held_detail.setdefault(source, {})[cluster.name] = batch
-        # this cluster is now held in scalar form; a stale columnar hold
-        # would double-replay it on the next NOT-MODIFIED poll
-        held_columns = self._held_columns.get(source)
-        if held_columns:
-            held_columns.pop(cluster.name, None)
         self.detail_updates += updates
         self.charge(updates * self.costs.rrd_update, "archive")
         self._flushed(source, t)
@@ -171,9 +171,6 @@ class Archiver:
         self.store.update_columns(plan, t, values)
         updates = len(plan)
         self._held_columns.setdefault(source, {})[cols.name] = (plan, values)
-        held_detail = self._held_detail.get(source)
-        if held_detail:
-            held_detail.pop(cols.name, None)  # counterpart of the pop above
         self.detail_updates += updates
         self.charge(updates * self.costs.rrd_update, "archive")
         self._flushed(source, t)

@@ -127,7 +127,13 @@ def _contributions_equal(a: HostContribution, b: HostContribution) -> bool:
 
 
 class ClusterSummaryTracker:
-    """Running summary for one cluster source, updated host-by-host."""
+    """Running summary for one cluster source, updated host-by-host.
+
+    The scalar reference of
+    :class:`~repro.columnar.summarize.ColumnarSummaryTracker`, which is
+    what the N-level gmetad runs; the differential suites hold the two
+    bit-identical.
+    """
 
     def __init__(self, heartbeat_window: float = 80.0) -> None:
         self.heartbeat_window = heartbeat_window
@@ -231,8 +237,3 @@ def eager_summary(
 
     summary, _ = summarize_cluster(cluster, heartbeat_window)
     return summary
-
-
-# Columnar twin of ClusterSummaryTracker (vectorized subtract-old/add-new
-# over value columns); re-exported for call-site symmetry.
-from repro.columnar.summarize import ColumnarSummaryTracker  # noqa: E402,F401

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.datastore import SourceSnapshot
-from repro.core.delta_summary import ClusterSummaryTracker
 from repro.core.gmetad_base import GmetadBase
 from repro.core.query import (
     SUMMARY_POLL_QUERY,
@@ -60,9 +59,7 @@ class Gmetad(GmetadBase):
             memoize=self.config.incremental,
             columnar_serve=self.config.columnar_serve,
         )
-        #: per-source delta summarizers (cluster sources only)
-        self._summary_trackers: Dict[str, ClusterSummaryTracker] = {}
-        #: per-source columnar delta summarizers (config.columnar)
+        #: per-source delta summarizers (cluster sources, incremental)
         self._columnar_trackers: Dict[str, object] = {}
 
     # -- polling ------------------------------------------------------------
@@ -76,14 +73,15 @@ class Gmetad(GmetadBase):
 
         A gmond response carries CLUSTER elements (full form); a child
         gmetad response carries one GRID element whose contents are
-        already in summary form.
+        already in summary form, or -- for a cluster path query -- one
+        summary-form CLUSTER.
         """
         for cluster in doc.clusters.values():
-            if self.config.columnar and not cluster.is_summary:
-                # tree-parsed cluster under a columnar config (salvage,
-                # or a shape the fast parser fell back on): convert so
-                # one columnar tracker and one scatter-plan state
-                # machine exist per source no matter which parser ran
+            if not cluster.is_summary:
+                # tree-parsed full-form cluster (salvage, or a shape the
+                # fast parser fell back on): convert, so one columnar
+                # tracker and one scatter-plan state machine exist per
+                # source whichever parser ran
                 from repro.columnar import columns_from_cluster
 
                 self._ingest_columns(
@@ -92,22 +90,12 @@ class Gmetad(GmetadBase):
                     now,
                 )
                 continue
-            if self.config.incremental:
-                tracker = self._summary_trackers.get(source)
-                if tracker is None:
-                    tracker = ClusterSummaryTracker(self.config.heartbeat_window)
-                    self._summary_trackers[source] = tracker
-                # subtract-old/add-new: work scales with the k hosts
-                # that changed, not the H hosts in the cluster
-                summary, samples = tracker.update(cluster)
-            else:
-                summary, samples = summarize_cluster(
-                    cluster, self.config.heartbeat_window
-                )
-            cluster.summary = summary  # element carries both resolutions
+            # summary-form (another gmetad's ``/<cluster>?filter=summary``
+            # answer): passes through at zero cost, no detail to archive
+            summary, samples = summarize_cluster(
+                cluster, self.config.heartbeat_window
+            )
             self.charge(self.costs.summarize_metric * samples, "summarize")
-            if self.config.archive_local_detail:
-                self.archiver.archive_cluster_detail(source, cluster, now)
             self.archiver.archive_summary(source, cluster.name, summary, now)
             self.datastore.install(
                 SourceSnapshot(
@@ -164,11 +152,13 @@ class Gmetad(GmetadBase):
             self._ingest_columns(source, cols, now)
 
     def _ingest_columns(self, source: str, cols, now: float) -> None:
-        """Columnar twin of the cluster branch of :meth:`ingest`.
+        """Ingest one full-form cluster poll.
 
-        Summarization runs on the value column (vectorized, bit-identical
-        totals and op counts); the archiver scatters the whole poll in
-        one plan update; the datastore gets a hostless *shell* cluster
+        Every full-form cluster dump takes this route, whichever parser
+        or codec produced the columns.  Summarization runs on the value
+        column (vectorized, bit-identical totals and op counts); the
+        archiver scatters the whole poll in one plan update; the
+        datastore gets a hostless *shell* cluster
         plus the columns themselves -- full-form reads materialize the
         DOM lazily via :meth:`SourceSnapshot.ensure_hosts`, so polls that
         are never queried at full resolution never pay for a DOM.
@@ -281,7 +271,6 @@ class Gmetad(GmetadBase):
 
     def remove_data_source(self, name: str) -> None:
         super().remove_data_source(name)
-        self._summary_trackers.pop(name, None)
         self._columnar_trackers.pop(name, None)
 
     # -- convenience for tools/alarms -----------------------------------------

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 import random
 
+from repro.columnar import InternPool
 from repro.core.archiver import Archiver
 from repro.core.datastore import Datastore
 from repro.core.poller import DataSourcePoller
@@ -94,8 +95,9 @@ class GmetadBase(ServingFront):
     #: GANGLIA_XML VERSION emitted; set by subclasses.
     version = "2.5.x"
 
-    #: whether this design implements :meth:`ingest_columnar`; the
-    #: ``config.columnar`` switch is a no-op on designs that don't.
+    #: whether this design ingests cluster dumps through
+    #: :meth:`ingest_columnar`; designs that don't (1-level) parse every
+    #: response into a tree.
     supports_columnar = False
 
     def __init__(
@@ -117,22 +119,11 @@ class GmetadBase(ServingFront):
         self.cpu = CpuAccount(config.name, capacity)
         self.datastore = Datastore()
         self.validate_xml = validate_xml
-        #: shared string-interning pool for the columnar parse fast path;
-        #: metric names repeat across every host and every poll, so ids
-        #: stabilize after the first poll and stay comparable across polls
-        self._intern_pool = None
-        if config.columnar and self.supports_columnar:
-            from repro.columnar import InternPool
-
-            self._intern_pool = InternPool()
-        #: pool binary frames decode into: the columnar pool when the
-        #: columnar path is on (ids stay stable across polls, so the
-        #: delta trackers keep working), a dedicated one otherwise
-        self._decode_pool = self._intern_pool
-        if config.binary_wire and self._decode_pool is None:
-            from repro.columnar import InternPool
-
-            self._decode_pool = InternPool()
+        #: string-interning pool shared by the columnar parser and the
+        #: binary decoder; metric names repeat across every host and
+        #: every poll, so ids stabilize after the first poll and stay
+        #: comparable across polls (the delta trackers rely on that)
+        self._intern_pool = InternPool()
         if not fabric.has_host(config.host):
             fabric.add_host(config.host)
         if config.storage_tier is not None:
@@ -330,70 +321,42 @@ class GmetadBase(ServingFront):
         # through that the columnar builder still can't shape raises
         # ColumnarFallback and re-parses below, costing wall time only
         # (CPU charges land once, after whichever parse succeeded).
-        cdoc = None
-        doc = None
+        document = None
         if (
-            self.config.columnar
-            and self.supports_columnar
+            self.supports_columnar
             and self.source_kind(source) == "cluster"
             and "<GRID" not in xml
         ):
             try:
-                cdoc = parse_columnar(
+                document = parse_columnar(
                     xml, pool=self._intern_pool, validate=self.validate_xml
                 )
             except ColumnarFallback:
-                cdoc = None
+                pass
             except ParseError as exc:
                 self._on_parse_error(source, xml, exc, now, busy0)
                 return
-        if cdoc is None:
+        columnar = document is not None
+        if not columnar:
             try:
-                doc = parse_document(xml, validate=self.validate_xml)
+                document = parse_document(xml, validate=self.validate_xml)
             except ParseError as exc:
                 self._on_parse_error(source, xml, exc, now, busy0)
                 return
-        if cdoc is not None and cdoc.fast_lane_misses and obs is not None:
+        if columnar and document.fast_lane_misses and obs is not None:
             # a writer attribute-order drift silently degrades the regex
             # fast lane to the generic path; surface it (satellite of
             # the binary codec, which shares the canonical-order bet)
             obs.registry.counter("parse_fast_lane_misses").inc(
-                cdoc.fast_lane_misses
+                document.fast_lane_misses
             )
-        element_count = (
-            cdoc.element_count if cdoc is not None else document_element_count(doc)
-        )
-        self.charge(self.costs.hash_insert * element_count, "parse")
-        self.polls_ingested += 1
-        if obs is None:
-            if cdoc is not None:
-                self.ingest_columnar(source, cdoc, now)
-            else:
-                self.ingest(source, doc, now)
-        else:
-            parse_seconds = self.cpu.total_busy_seconds - busy0
-            by_category = self.cpu.window.by_category
-            summarize0 = by_category["summarize"]
-            archive0 = by_category["archive"]
-            if cdoc is not None:
-                self.ingest_columnar(source, cdoc, now)
-            else:
-                self.ingest(source, doc, now)
-            # stage timings come from the by-category charge deltas, so
-            # the spans show exactly what the CPU account was billed
-            obs.record_ingest(
-                source, len(xml), now, parse_seconds,
-                max(0.0, by_category["summarize"] - summarize0),
-                max(0.0, by_category["archive"] - archive0),
-                path="columnar" if cdoc is not None else "tree",
-            )
-        self._publish(source, now)
+        self._ingest_parsed(source, document, columnar, len(xml), now, busy0)
 
     def _on_frame(self, source: str, frame: BinaryFrame, rtt: float) -> None:
         """Ingest one binary-codec poll response.
 
         Decode feeds the same pipeline as XML -- the columnar ingest
-        when that path is on, a materialized document tree otherwise --
+        on designs that have it, a materialized document tree otherwise --
         so datastore contents are identical whichever codec the link
         negotiated.  A frame that fails validation is quarantined whole:
         decode happens entirely before any install, so a truncated or
@@ -405,44 +368,50 @@ class GmetadBase(ServingFront):
         self.charge(self.costs.tcp_connect, "network")
         self.charge(self.costs.binfmt_byte * len(frame.data), "parse")
         try:
-            kind, document = decode_document(frame.data, self._decode_pool)
+            kind, document = decode_document(frame.data, self._intern_pool)
         except FrameError as exc:
             self._on_frame_error(source, frame, exc, now, busy0)
             return
-        columnar = (
-            kind == CLUSTER_DOC
-            and self.config.columnar
-            and self.supports_columnar
+        columnar = kind == CLUSTER_DOC and self.supports_columnar
+        if kind == CLUSTER_DOC and not columnar:
+            document = materialize_document(document)
+        self.frames_ingested += 1
+        self._ingest_parsed(
+            source, document, columnar, len(frame.data), now, busy0,
+            codec="binary",
         )
-        if kind == CLUSTER_DOC:
-            element_count = document.element_count
-            if not columnar:
-                document = materialize_document(document)
-        else:
-            element_count = document_element_count(document)
+
+    def _ingest_parsed(
+        self, source: str, document, columnar: bool, size: int, now: float,
+        busy0: float, **labels,
+    ) -> None:
+        """Charge the hash-table inserts of a parsed poll, hand it to the
+        design's ingest, then publish.  With observability on, the stage
+        timings come from the by-category charge deltas, so the spans
+        show exactly what the CPU account was billed."""
+        element_count = (
+            document.element_count
+            if columnar
+            else document_element_count(document)
+        )
         self.charge(self.costs.hash_insert * element_count, "parse")
         self.polls_ingested += 1
-        self.frames_ingested += 1
+        ingest = self.ingest_columnar if columnar else self.ingest
+        obs = self.obs
         if obs is None:
-            if columnar:
-                self.ingest_columnar(source, document, now)
-            else:
-                self.ingest(source, document, now)
+            ingest(source, document, now)
         else:
             parse_seconds = self.cpu.total_busy_seconds - busy0
             by_category = self.cpu.window.by_category
             summarize0 = by_category["summarize"]
             archive0 = by_category["archive"]
-            if columnar:
-                self.ingest_columnar(source, document, now)
-            else:
-                self.ingest(source, document, now)
+            ingest(source, document, now)
             obs.record_ingest(
-                source, len(frame.data), now, parse_seconds,
+                source, size, now, parse_seconds,
                 max(0.0, by_category["summarize"] - summarize0),
                 max(0.0, by_category["archive"] - archive0),
                 path="columnar" if columnar else "tree",
-                codec="binary",
+                **labels,
             )
         self._publish(source, now)
 
@@ -581,21 +550,18 @@ class GmetadBase(ServingFront):
         snapshot = self.datastore.source(source)
         if snapshot is None or snapshot.cluster is None:
             return 0
+        # a columnar snapshot's shell materializes only the hosts the
+        # damage swallowed, by row-slice, instead of the whole cluster
         columns = snapshot.columns
-        if columns is not None and not snapshot.cluster.hosts:
-            # columnar snapshot: materialize only the hosts the damage
-            # swallowed, by row-slice, instead of the whole cluster
-            carried = 0
-            for cluster in doc.clusters.values():
-                for i, name in enumerate(columns.host_names):
-                    if name not in cluster.hosts:
-                        cluster.hosts[name] = columns.materialize_host(i)
-                        carried += 1
-            return carried
+        kept = snapshot.cluster.hosts
+        names = columns.host_names if columns is not None else list(kept)
         carried = 0
         for cluster in doc.clusters.values():
-            for name, host in snapshot.cluster.hosts.items():
+            for i, name in enumerate(names):
                 if name not in cluster.hosts:
+                    host = kept.get(name)
+                    if host is None:
+                        host = columns.materialize_host(i)
                     cluster.hosts[name] = host
                     carried += 1
         return carried

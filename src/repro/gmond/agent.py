@@ -10,6 +10,7 @@ multicast channel -- the redundancy gmetad fail-over relies on.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -85,7 +86,7 @@ class GmondAgent:
         self.config = config
         self.source = source
         self.host = source.host
-        self.ip = ip or f"10.0.0.{abs(hash(self.host)) % 250 + 1}"
+        self.ip = ip or f"10.0.0.{zlib.crc32(self.host.encode()) % 250 + 1}"
         fabric_host = channel.fabric.host(self.host)
         if not fabric_host.ip:
             fabric_host.ip = self.ip

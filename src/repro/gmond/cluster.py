@@ -12,6 +12,7 @@ and then point a gmetad data source at ``cluster.gmond_addresses()``.
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable, List, Optional
 
 from repro.gmond.agent import GmondAgent
@@ -79,7 +80,7 @@ class SimulatedCluster:
                 tcp,
                 config,
                 source,
-                ip=f"10.{abs(hash(name)) % 200}.0.{i + 1}",
+                ip=f"10.{zlib.crc32(name.encode()) % 200}.0.{i + 1}",
                 rng=rngs.stream(f"gmond:{hostname}"),
             )
             agents.append(agent)

@@ -20,10 +20,11 @@ gmetad measurements.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+import zlib
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.metrics.catalog import STRING_DEFAULTS, MetricDef, builtin_catalog
-from repro.metrics.types import MetricType, format_value
+from repro.metrics.types import MetricType, format_float, format_value
 from repro.net.address import Address
 from repro.net.fabric import Fabric
 from repro.net.tcp import Response, TcpNetwork
@@ -41,7 +42,8 @@ from repro.wire.conditional import (
     split_generation,
 )
 from repro.wire.model import ClusterElement, HostElement, MetricElement
-from repro.wire.writer import XmlWriter, _fmt_num
+from repro.wire.escape import escape_attr
+from repro.wire.writer import XmlWriter, _fmt_num, host_attrs, metric_frame
 
 
 class PseudoGmond:
@@ -77,18 +79,28 @@ class PseudoGmond:
             fabric.add_host(self.server_host, cluster=name)
         self._down: Set[int] = set()
         self._last_alive: Dict[int, float] = {}
+        self._draws = [self._drawer(d) for d in self._defs]
         self._cluster = self._build_skeleton()
-        self._volatile: List[tuple[HostElement, List[tuple[MetricElement, MetricDef]]]] = [
+        self._volatile: List[tuple[HostElement, List[tuple]]] = [
             (
                 host,
                 [
-                    (host.metrics[d.name], d)
-                    for d in self._defs
+                    (host.metrics[d.name], d, draw)
+                    for d, draw in zip(self._defs, self._draws)
                     if not d.is_constant
                 ],
             )
             for host in self._cluster.hosts.values()
         ]
+        #: per host, its METRIC lines in document order, cut around the
+        #: two attributes that move (see ``metric_frame``)
+        self._frames: Dict[str, List[tuple]] = {
+            host.name: [
+                (host.metrics[name], *metric_frame(host.metrics[name]))
+                for name in sorted(host.metrics)
+            ]
+            for host in self._cluster.hosts.values()
+        }
         self._cached_xml: Optional[str] = None
         self._built_at = float("-inf")
         #: a gmond that predates the binary codec: ignores ``accept=``
@@ -116,30 +128,34 @@ class PseudoGmond:
 
     # -- construction --------------------------------------------------------
 
-    def _draw(self, mdef: MetricDef) -> str:
+    def _drawer(self, mdef: MetricDef) -> Callable[[], str]:
+        """A function drawing one random wire value of ``mdef``."""
+        rng = self._rng
         if mdef.mtype is MetricType.STRING:
-            return STRING_DEFAULTS.get(mdef.name, f"str{self._rng.randrange(10)}")
+            return lambda: STRING_DEFAULTS.get(
+                mdef.name, f"str{rng.randrange(10)}"
+            )
         lo, hi = mdef.value_range
-        value = self._rng.uniform(lo, hi)
+        uniform = rng.uniform
         if mdef.mtype.is_integral:
-            return str(int(value))
-        return format_value(value, mdef.mtype)
+            return lambda: str(int(uniform(lo, hi)))
+        return lambda: format_float(uniform(lo, hi))
 
     def _build_skeleton(self) -> ClusterElement:
         cluster = ClusterElement(name=self.name, owner="pseudo", localtime=0.0)
         for i in range(self.num_hosts):
             host = HostElement(
                 name=f"{self.name}-0-{i}",
-                ip=f"10.{abs(hash(self.name)) % 200}.{i // 250}.{i % 250 + 1}",
+                ip=f"10.{zlib.crc32(self.name.encode()) % 200}.{i // 250}.{i % 250 + 1}",
                 reported=0.0,
                 tn=0.0,
                 tmax=20.0,
             )
-            for mdef in self._defs:
+            for mdef, draw in zip(self._defs, self._draws):
                 host.add_metric(
                     MetricElement(
                         name=mdef.name,
-                        val=self._draw(mdef),
+                        val=draw(),
                         mtype=mdef.mtype,
                         units=mdef.units,
                         tn=0.0,
@@ -180,11 +196,12 @@ class PseudoGmond:
             host.tn = max(0.0, now - silent_since)
             host.reported = silent_since
         else:
-            host.tn = self._rng.uniform(0.0, 10.0)
+            uniform = self._rng.uniform
+            host.tn = uniform(0.0, 10.0)
             host.reported = now - host.tn
-            for element, mdef in volatiles:
-                element.val = self._draw(mdef)
-                element.tn = self._rng.uniform(0.0, mdef.collect_every)
+            for element, mdef, draw in volatiles:
+                element.val = draw()
+                element.tn = uniform(0.0, mdef.collect_every)
         self._host_frags.pop(host.name, None)
 
     def _assemble(self) -> str:
@@ -208,14 +225,26 @@ class PseudoGmond:
         for name in sorted(c.hosts):
             frag = self._host_frags.get(name)
             if frag is None:
-                sub = XmlWriter()
-                sub.host(c.hosts[name])
-                frag = sub.result()
-                self._host_frags[name] = frag
+                frag = self._host_frags[name] = self._render_host(c.hosts[name])
             w.raw(frag)
         w.close_tag("CLUSTER")
         w.close_tag("GANGLIA_XML")
         return w.result()
+
+    def _render_host(self, host: HostElement) -> str:
+        """``XmlWriter.host`` text for one host, from its metric frames."""
+        sub = XmlWriter()
+        if not host.metrics:
+            sub.host(host)
+            return sub.result()
+        sub.open_tag("HOST", host_attrs(host))
+        e, num = escape_attr, _fmt_num
+        sub.raw("".join([
+            f"{head}{e(m.val)}{mid}{num(m.tn)}{tail}"
+            for m, head, mid, tail in self._frames[host.name]
+        ]))
+        sub.close_tag("HOST")
+        return sub.result()
 
     def _refresh(self, now: float) -> None:
         self.refreshes += 1
@@ -286,7 +315,7 @@ class PseudoGmond:
             if not (0 <= index < self.num_hosts):
                 raise IndexError(f"host index {index} out of range")
             host, volatiles = self._volatile[index]
-            named = {element.name: (element, mdef) for element, mdef in volatiles}
+            named = {element.name: (element, mdef) for element, mdef, _ in volatiles}
             host.tn = 0.0
             host.reported = at
             for metric_name, value in metrics.items():

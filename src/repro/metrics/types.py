@@ -88,6 +88,11 @@ def format_value(value: Value, mtype: MetricType) -> str:
         return str(value)
     if mtype.is_integral:
         return str(int(value))
+    return format_float(value)
+
+
+def format_float(value: float) -> str:
+    """Render a FLOAT/DOUBLE value the way gmond prints it into XML."""
     # Gmond prints floats with %.2f-ish precision; we keep more digits so
     # summaries round-trip, but strip trailing zeros for compactness.
     text = f"{float(value):.4f}"

@@ -54,9 +54,9 @@ def audit_gmetad(gmetad: "GmetadBase") -> DriftReport:
     """Compare every cluster source's installed summary to an eager fold.
 
     Works on any gmetad: with the incremental pipeline on, the installed
-    summary came from a :class:`ClusterSummaryTracker` and this is the
-    incremental-vs-eager equivalence check; with it off the comparison
-    is trivially clean (same code produced both sides).
+    summary came from a delta tracker and this is the incremental-vs-
+    eager equivalence check; with it off the comparison is clean by
+    construction (the eager kernels are bit-identical).
     """
     report = DriftReport()
     for name, snapshot in gmetad.datastore.sources.items():

@@ -169,9 +169,9 @@ class Observability:
         """One poll response went through parse -> summarize -> archive.
 
         ``path`` names the ingest pipeline that ran ("tree" or
-        "columnar") so stage timings attribute to the right fast path.
-        The default path adds nothing: self-metrics output stays
-        byte-identical to pre-columnar builds unless columnar ran.
+        "columnar") so stage timings attribute to the right pipeline;
+        only the columnar one (every N-level cluster dump) is counted,
+        in ``ingests_columnar``.
         ``codec`` names the wire encoding ("xml" or "binary"); per-codec
         byte counters appear only on binary-enabled daemons, so baseline
         self-metric output is untouched.

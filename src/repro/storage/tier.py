@@ -40,6 +40,7 @@ Design points:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.rrd.database import RraSpec
@@ -82,7 +83,9 @@ class TierColumnPlan:
         self.tier = tier
         self.keys = list(keys)
         self._epoch = -1
-        self._chunks: List[Tuple[int, "object", List[MetricKey]]] = []
+        self._chunks: List[
+            Tuple[int, "object", List[MetricKey], List[Tuple[GroupKey, int]]]
+        ] = []
         self._node_plans: Dict[Tuple[int, str], object] = {}
 
     def __len__(self) -> int:
@@ -96,14 +99,14 @@ class TierColumnPlan:
         for j, key in enumerate(self.keys):
             s = tier._shard_of(key)
             by_shard.setdefault(s, []).append(j)
-        self._chunks = [
-            (
-                s,
-                np.asarray(positions, dtype=np.int64),
-                [self.keys[j] for j in positions],
-            )
-            for s, positions in sorted(by_shard.items())
-        ]
+        self._chunks = []
+        for s, positions in sorted(by_shard.items()):
+            chunk_keys = [self.keys[j] for j in positions]
+            # a shard holds several groups: credit each its own updates,
+            # as scalar writes do, so the rebalance sees the same rates
+            groups = Counter(map(tier._group_of, chunk_keys))
+            sel = np.asarray(positions, dtype=np.int64)
+            self._chunks.append((s, sel, chunk_keys, list(groups.items())))
         self._node_plans.clear()
         self._epoch = tier.placement_epoch
 
@@ -115,8 +118,9 @@ class TierColumnPlan:
             tier.on_update(n)
         if self._epoch != tier.placement_epoch:
             self._rebuild()
-        for s, sel, chunk_keys in self._chunks:
-            tier._note_updates(chunk_keys[0], len(chunk_keys))
+        for s, sel, chunk_keys, groups in self._chunks:
+            for group, count in groups:
+                tier._note_updates(group, count)
             sub_values = values[sel]
             tier._scatter_shard(s, chunk_keys, t, sub_values, self._node_plans)
 
@@ -284,8 +288,7 @@ class StorageTier:
             self.create_count += 1
         return gs
 
-    def _note_updates(self, key: MetricKey, count: int) -> None:
-        group = self._group_of(key)
+    def _note_updates(self, group: GroupKey, count: int) -> None:
         self._group_updates[group] = self._group_updates.get(group, 0) + count
 
     def note_query_heat(
@@ -329,7 +332,7 @@ class StorageTier:
         if self.on_update is not None:
             self.on_update(1)
         s = self._shard_of(key)
-        self._note_updates(key, 1)
+        self._note_updates(self._group_of(key), 1)
         ver = self._versions[s] + 1
         applied = False
         for name in self.shard_map.replicas[s]:

@@ -9,7 +9,7 @@ indentation beyond newlines (matching the real daemons' output shape).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.wire.escape import escape_attr
 from repro.wire.model import (
@@ -37,6 +37,39 @@ def _fmt_num(value: float) -> str:
         return str(i)  # int(-0.0) == -0.0, so exact -0.0 renders "0"
     text = f"{value:.4f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
+
+
+def host_attrs(h: HostElement) -> List[tuple]:
+    """The HOST tag's attributes, in wire order."""
+    attrs = [("NAME", h.name)]
+    if h.ip:
+        attrs.append(("IP", h.ip))
+    attrs.extend(
+        [
+            ("REPORTED", _fmt_num(h.reported)),
+            ("TN", _fmt_num(h.tn)),
+            ("TMAX", _fmt_num(h.tmax)),
+            ("DMAX", _fmt_num(h.dmax)),
+        ]
+    )
+    return attrs
+
+
+def metric_frame(m: MetricElement) -> Tuple[str, str, str]:
+    """:meth:`XmlWriter.metric`'s line for ``m`` cut around VAL and TN.
+
+    The line is ``head + escape_attr(val) + mid + _fmt_num(tn) + tail``,
+    for emitters that re-render the same metric with only its value and
+    age moving.
+    """
+    e = escape_attr
+    units = f' UNITS="{e(m.units)}"' if m.units else ""
+    return (
+        f'<METRIC NAME="{e(m.name)}" VAL="',
+        f'" TYPE="{m.mtype.value}"{units} TN="',
+        f'" TMAX="{_fmt_num(m.tmax)}" DMAX="{_fmt_num(m.dmax)}"'
+        f' SLOPE="{m.slope.value}" SOURCE="{e(m.source)}"/>\n',
+    )
 
 
 class XmlWriter:
@@ -106,17 +139,7 @@ class XmlWriter:
 
     def host(self, h: HostElement) -> None:
         """Write a HOST element with its METRIC children."""
-        attrs = [("NAME", h.name)]
-        if h.ip:
-            attrs.append(("IP", h.ip))
-        attrs.extend(
-            [
-                ("REPORTED", _fmt_num(h.reported)),
-                ("TN", _fmt_num(h.tn)),
-                ("TMAX", _fmt_num(h.tmax)),
-                ("DMAX", _fmt_num(h.dmax)),
-            ]
-        )
+        attrs = host_attrs(h)
         if not h.metrics:
             self.open_tag("HOST", attrs, close=True)
             return

@@ -27,9 +27,10 @@ from repro.frontend.viewer import WebFrontend
 from repro.gmond.pseudo import PseudoGmond
 from repro.net.address import Address
 from repro.pubsub.client import PushClient
+from repro.storage import StorageTierConfig
 
 
-def make_daemon(engine, fabric, tcp, rngs, *, columnar=True,
+def make_daemon(engine, fabric, tcp, rngs, *, storage_tier=None,
                 analytics=None, archive_mode="full", name="solo"):
     pseudo = PseudoGmond(
         engine, fabric, tcp, f"{name}-c0", num_hosts=4,
@@ -37,7 +38,7 @@ def make_daemon(engine, fabric, tcp, rngs, *, columnar=True,
     )
     config = GmetadConfig(
         name=name, host=f"gmeta-{name}", archive_mode=archive_mode,
-        columnar=columnar, analytics=analytics,
+        storage_tier=storage_tier, analytics=analytics,
     )
     config.add_source(f"{name}-c0", [pseudo.address])
     return Gmetad(engine, fabric, tcp, config).start(), pseudo
@@ -193,12 +194,14 @@ class TestReadings:
         assert daemon.analytics.reading("solo-c0", "nope", "load_one") is None
 
     def test_scalar_fallback_matches_surface(self, engine, fabric, tcp, rngs):
-        """Non-columnar store: no bank, readings still come (per-series
-        fetch fallback)."""
+        """Storage-tier store: no bank, readings still come (per-series
+        fetch fallback through the tier's failover read surface)."""
         daemon, pseudo = make_daemon(
-            engine, fabric, tcp, rngs, columnar=False,
+            engine, fabric, tcp, rngs, storage_tier=StorageTierConfig(),
             analytics=AnalyticsConfig(window_rows=6),
         )
+        # the scalar window is the only route: the tier keeps no bank
+        assert getattr(daemon.archiver.store, "bank_series", None) is None
         engine.run_for(150.0)
         stage = daemon.analytics
         assert stage.passes > 0

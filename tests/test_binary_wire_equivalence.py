@@ -38,11 +38,11 @@ def build_twins(**kwargs):
     is the baseline the codec is benchmarked against.
     """
     xml = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=True,
+        "nlevel", hosts_per_cluster=HOSTS,
         binary_wire=False, **kwargs
     ).start()
     binf = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=True,
+        "nlevel", hosts_per_cluster=HOSTS,
         binary_wire=True, **kwargs
     ).start()
     return xml, binf
@@ -112,11 +112,11 @@ def test_mixed_fleet_converges_identically():
     fall back per-link and the installed state never notices."""
     legacy = {"sdsc-c0": False, "physics-c0": False}
     xml = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=True,
+        "nlevel", hosts_per_cluster=HOSTS,
         binary_wire=False,
     ).start()
     binf = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=True,
+        "nlevel", hosts_per_cluster=HOSTS,
         binary_wire=True, binary_gmonds=legacy,
     ).start()
     run_both(xml, binf, 90.0)
@@ -137,7 +137,7 @@ def test_negotiation_counters_track_both_outcomes():
         self_cluster_interval=0.0, drift_check_interval=0.0
     )
     binf = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=True,
+        "nlevel", hosts_per_cluster=HOSTS,
         binary_wire=True, binary_gmonds={"sdsc-c0": False},
         observability=obs,
     ).start()

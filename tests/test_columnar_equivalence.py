@@ -1,10 +1,11 @@
 """Byte-identical equivalence: columnar fast path vs the tree baseline.
 
-Twin Fig. 2 federations are built from the same seed -- one with
-``columnar=False`` (TreeBuilder DOM -> per-host summarize loops ->
-per-metric RRD updates), one with ``columnar=True`` (interned SAX parse
--> structure-of-arrays -> vectorized summarize -> batch RRD scatter) --
-and driven through identical event sequences.  At every checkpoint every
+Twin Fig. 2 federations are built from the same seed -- one of the
+test-side tree-ingest reference daemons (:mod:`tests.tree_ingest`:
+TreeBuilder DOM -> per-host summarize loops -> per-metric RRD updates),
+one of production gmetads (interned SAX parse -> structure-of-arrays ->
+vectorized summarize -> batch RRD scatter) -- and driven through
+identical event sequences.  At every checkpoint every
 gmetad in both trees must serve **byte-identical** XML, charge identical
 CPU, and (in full archive mode) hold value-identical RRD histories.
 This is the acceptance bar of the optimisation: observable output is
@@ -19,6 +20,7 @@ import pytest
 
 from repro.bench.topology import build_paper_tree
 from repro.net.tcp import Response
+from tests.tree_ingest import build_tree_ingest_tree
 
 HOSTS = 5
 REQUESTS = ["/", "/?filter=summary"]
@@ -26,13 +28,13 @@ REQUESTS = ["/", "/?filter=summary"]
 
 def build_twins(incremental, **kwargs):
     """(tree, columnar) federations built from the same seed."""
-    tree = build_paper_tree(
+    tree = build_tree_ingest_tree(
         "nlevel", hosts_per_cluster=HOSTS, incremental=incremental,
-        columnar=False, **kwargs
+        **kwargs
     ).start()
     cols = build_paper_tree(
         "nlevel", hosts_per_cluster=HOSTS, incremental=incremental,
-        columnar=True, **kwargs
+        **kwargs
     ).start()
     return tree, cols
 
@@ -62,8 +64,13 @@ def assert_same_cpu_and_stats(tree, cols):
         assert b.parse_errors == a.parse_errors, name
 
 
-def assert_columnar_engaged(cols):
-    """Guard against vacuous equality: leaves really took the fast path."""
+def assert_columnar_engaged(cols, tree=None):
+    """Guard against vacuous equality: leaves really took the fast path
+    (and the reference twin's leaves really took the tree path)."""
+    if tree is not None:
+        for g in tree.gmetads.values():
+            for n in g.datastore.source_names():
+                assert g.datastore.source(n).columns is None, n
     leaves = 0
     for g in cols.gmetads.values():
         snapshots = [
@@ -73,7 +80,6 @@ def assert_columnar_engaged(cols):
         if not clusters:
             continue
         leaves += 1
-        assert g._intern_pool is not None
         assert any(s.columns is not None for s in clusters), (
             "no columnar snapshot installed"
         )
@@ -91,7 +97,7 @@ def test_steady_churn_serves_identical_bytes(incremental):
         tree, cols, ["/sdsc", "/ucsd", "/sdsc-c0", "/sdsc-c0/sdsc-c0-0-0"]
     )
     assert_same_cpu_and_stats(tree, cols)
-    assert_columnar_engaged(cols)
+    assert_columnar_engaged(cols, tree)
 
 
 @pytest.mark.parametrize("incremental", [False, True])

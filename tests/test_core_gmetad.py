@@ -7,6 +7,8 @@ from repro.core.gmetad_1level import OneLevelGmetad
 from repro.core.gmetad_base import document_element_count
 from repro.core.tree import GmetadConfig
 from repro.gmond.pseudo import PseudoGmond
+from repro.net.address import Address
+from repro.net.tcp import Response
 from repro.rrd.store import SUMMARY_HOST
 from repro.wire.parser import parse_document
 
@@ -42,6 +44,7 @@ class TestNLevelIngest:
         engine.run_for(40.0)
         snapshot = daemon.datastore.source("meteor")
         assert snapshot.kind == "cluster"
+        snapshot.ensure_hosts()  # the columnar shell's full form
         assert len(snapshot.cluster.hosts) == 6
         # summary attached and consistent with host count
         assert snapshot.summary.hosts_total == 6
@@ -52,6 +55,7 @@ class TestNLevelIngest:
         daemon.start()
         engine.run_for(40.0)
         snapshot = daemon.datastore.source("meteor")
+        snapshot.ensure_hosts()
         expected = sum(
             host.metrics["load_one"].numeric()
             for host in snapshot.cluster.hosts.values()
@@ -95,7 +99,61 @@ class TestNLevelIngest:
         assert not snapshot.up
         assert snapshot.consecutive_failures >= 1
         # stale data kept for forensics
+        snapshot.ensure_hosts()
         assert len(snapshot.cluster.hosts) == 6
+
+
+class TestSummaryFormClusterSource:
+    """A cluster source that answers with a summary-form CLUSTER -- what
+    another gmetad replies to ``/<cluster>?filter=summary`` -- passes
+    through: no detail archive, no tracker, the delivered SUM/NUM
+    served as they came."""
+
+    @pytest.fixture(params=[False, True], ids=["eager", "incremental"])
+    def relayed(self, request, world, engine, fabric, tcp):
+        child = world.gmetad(
+            name="child", sources={"meteor": [world.pseudo.address]}
+        ).start()
+        relay = Address.gmetad("relay")
+        fabric.add_host(relay.host)
+        replies = []
+
+        def answer(client, query):
+            xml, _ = child.serve_query("/meteor?filter=summary")
+            replies.append(xml)
+            return Response(xml)
+
+        tcp.listen(relay, answer)
+        daemon = world.gmetad(
+            sources={"meteor": [relay]}, incremental=request.param
+        ).start()
+        engine.run_for(70.0)
+        return daemon, replies
+
+    def test_summary_served_as_delivered(self, relayed):
+        daemon, replies = relayed
+        assert daemon.polls_ingested >= 2 and daemon.parse_errors == 0
+        delivered = parse_document(replies[-1]).clusters["meteor"]
+        assert delivered.is_summary
+        served = parse_document(daemon.serve_query("/?filter=summary")[0])
+        (grid,) = served.grids.values()
+        cluster = grid.clusters["meteor"]
+        assert cluster.summary.hosts_up == delivered.summary.hosts_up == 6
+        assert cluster.summary.hosts_down == delivered.summary.hosts_down
+        assert {
+            name: (ms.total, ms.num)
+            for name, ms in cluster.summary.metrics.items()
+        } == {
+            name: (ms.total, ms.num)
+            for name, ms in delivered.summary.metrics.items()
+        }
+
+    def test_passes_through_without_detail_or_summarize_cost(self, relayed):
+        daemon, _ = relayed
+        assert daemon.cpu.window.by_category["summarize"] == 0
+        keys = list(daemon.rrd_store.keys())
+        assert keys and all(k.host == SUMMARY_HOST for k in keys)
+        assert not daemon._columnar_trackers
 
 
 class TestNLevelHierarchy:

@@ -185,10 +185,10 @@ class TestGmondFailover:
         same cluster picture the dead node did."""
         engine, fabric, cluster, daemon = self.build()
         engine.run_for(60.0)
-        hosts_before = set(daemon.datastore.source("meteor").cluster.hosts)
+        hosts_before = set(daemon.datastore.find_cluster("meteor").hosts)
         fabric.set_host_up("meteor-0-0", False)
         engine.run_for(60.0)
-        hosts_after = set(daemon.datastore.source("meteor").cluster.hosts)
+        hosts_after = set(daemon.datastore.find_cluster("meteor").hosts)
         assert hosts_before == hosts_after == {
             f"meteor-0-{i}" for i in range(5)
         }

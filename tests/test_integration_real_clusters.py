@@ -58,8 +58,8 @@ def world():
 class TestEndToEnd:
     def test_leaf_sees_both_clusters_full(self, world):
         leaf = world["leaf"]
-        assert len(leaf.datastore.source("meteor").cluster.hosts) == 5
-        assert len(leaf.datastore.source("nashi").cluster.hosts) == 4
+        assert len(leaf.datastore.find_cluster("meteor").hosts) == 5
+        assert len(leaf.datastore.find_cluster("nashi").hosts) == 4
 
     def test_root_rollup_counts_real_agents(self, world):
         rollup, _ = world["root"].datastore.root_summary()
@@ -78,6 +78,7 @@ class TestEndToEnd:
     def test_summary_mean_within_live_value_range(self, world):
         leaf = world["leaf"]
         snapshot = leaf.datastore.source("meteor")
+        snapshot.ensure_hosts()
         values = [
             host.metrics["load_one"].numeric()
             for host in snapshot.cluster.hosts.values()

@@ -443,6 +443,7 @@ class TestSalvageIngest:
         snap = world.gmetad.datastore.source("meteor")
         assert snap.quarantined
         assert snap.corrupt_polls > 0
+        snap.ensure_hosts()  # the columnar shell's full form
         assert len(snap.cluster.hosts) > 0
 
     def test_baseline_marks_the_same_corruption_down(self):
@@ -459,14 +460,13 @@ class TestSalvageIngest:
     def test_salvage_carries_lost_hosts_forward(self):
         world = build_leaf(resilience=ResilienceConfig(), hosts=8)
         world.engine.run_for(35.0)
-        before = set(
-            world.gmetad.datastore.source("meteor").cluster.hosts
-        )
+        before = set(world.gmetad.datastore.find_cluster("meteor").hosts)
         world.fabric.set_gray(
             "gmeta-leaf", "pgmond-meteor", corrupt_probability=1.0
         )
         world.engine.run_for(150.0)
         snap = world.gmetad.datastore.source("meteor")
+        snap.ensure_hosts()
         assert set(snap.cluster.hosts) == before  # nobody vanished
         assert 0 < snap.salvaged_hosts <= len(before)
         assert snap.quarantined
@@ -510,6 +510,7 @@ class TestSalvageIngest:
         assert world.gmetad.polls_salvaged > 0
         snap = world.gmetad.datastore.source("meteor")
         assert snap.up
+        snap.ensure_hosts()
         assert len(snap.cluster.hosts) == 10  # salvaged + carried forward
 
 

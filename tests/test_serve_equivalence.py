@@ -57,6 +57,7 @@ from repro.wire.model import (
 )
 from repro.wire.parser import parse_columnar
 from repro.wire.writer import XmlWriter, write_document
+from tests.tree_ingest import build_tree_ingest_tree
 
 HOSTS = 5
 REQUESTS = ["/", "/?filter=summary"]
@@ -77,11 +78,11 @@ def build_twins(incremental=False, **kwargs):
     """
     dom = build_paper_tree(
         "nlevel", hosts_per_cluster=HOSTS, incremental=incremental,
-        columnar=True, columnar_serve=False, **kwargs
+        columnar_serve=False, **kwargs
     ).start()
     fast = build_paper_tree(
         "nlevel", hosts_per_cluster=HOSTS, incremental=incremental,
-        columnar=True, columnar_serve=True, **kwargs
+        columnar_serve=True, **kwargs
     ).start()
     return dom, fast
 
@@ -164,12 +165,9 @@ def test_mutations_and_host_death(incremental):
 def test_fast_path_matches_tree_baseline():
     """Transitivity anchor: the arena-served replies equal the original
     all-DOM federation's (tree ingest + tree serve), byte for byte."""
-    tree = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=False
-    ).start()
+    tree = build_tree_ingest_tree("nlevel", hosts_per_cluster=HOSTS).start()
     fast = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=True,
-        columnar_serve=True
+        "nlevel", hosts_per_cluster=HOSTS, columnar_serve=True
     ).start()
     run_both(tree, fast, 90.0)
     assert_identical_everywhere(tree, fast, REQUESTS + PATH_REQUESTS)
@@ -182,7 +180,7 @@ def test_fast_path_matches_tree_baseline():
 def _serve_world(engine, fabric, tcp, rngs, **config_kwargs):
     config = GmetadConfig(
         name="sdsc", host="gmeta-sdsc", archive_mode="account",
-        columnar=True, columnar_serve=True, **config_kwargs
+        columnar_serve=True, **config_kwargs
     )
     pseudos = {}
     for i, name in enumerate(("meteor", "torus")):
@@ -222,7 +220,6 @@ def test_flag_off_declines_binary_detail(engine, fabric, tcp, rngs):
     """Without ``columnar_serve`` the detail form stays XML-only."""
     config = GmetadConfig(
         name="sdsc", host="gmeta-sdsc", archive_mode="account",
-        columnar=True,
     )
     pseudo = PseudoGmond(
         engine, fabric, tcp, "meteor", num_hosts=3,
@@ -254,7 +251,7 @@ def test_replica_columnar_serve_matches_daemon(engine, fabric, tcp, rngs):
     GBF1 detail frames that decode to the same reply."""
     config = GmetadConfig(
         name="sdsc", host="gmeta-sdsc", archive_mode="account",
-        columnar=True, read_tier=ReadTierConfig(),
+        read_tier=ReadTierConfig(),
     )
     pseudos = {}
     for i, name in enumerate(("meteor", "torus")):

@@ -54,7 +54,7 @@ class Front:
     def __init__(self) -> None:
         self.fed = build_paper_tree(
             "nlevel", hosts_per_cluster=3, incremental=True,
-            columnar=True, columnar_serve=True, binary_wire=True,
+            columnar_serve=True, binary_wire=True,
         ).start()
         self.daemon = self.fed.gmetad("sdsc")
         tier = build_read_tier(

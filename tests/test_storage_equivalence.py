@@ -11,12 +11,12 @@ tier's acceptance bar: replication and sharding change *where* series
 live and *what survives a node kill*, never what a healthy federation
 observably does.
 
-The tier's batch scatter rides the columnar plan machinery, so the
-archive-identity test runs across both columnar settings.
+The tier's batch scatter rides the columnar plan machinery every
+N-level cluster dump now takes; the 1-level design and the in-band
+clusters keep the scalar update path.
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.topology import build_paper_tree
 from repro.net.tcp import Response
@@ -36,15 +36,13 @@ TIER = StorageTierConfig(
 )
 
 
-def build_twins(columnar=False, **kwargs):
+def build_twins(**kwargs):
     """(baseline, tiered) federations built from the same seed."""
     base = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=columnar,
-        storage_tier=None, **kwargs
+        "nlevel", hosts_per_cluster=HOSTS, storage_tier=None, **kwargs
     ).start()
     tiered = build_paper_tree(
-        "nlevel", hosts_per_cluster=HOSTS, columnar=columnar,
-        storage_tier=TIER, **kwargs
+        "nlevel", hosts_per_cluster=HOSTS, storage_tier=TIER, **kwargs
     ).start()
     return base, tiered
 
@@ -139,13 +137,12 @@ def test_parse_errors_handled_identically():
     assert_same_cpu_and_stats(base, tiered)
 
 
-@pytest.mark.parametrize("columnar", [False, True])
-def test_full_archives_value_identical(columnar):
+def test_full_archives_value_identical():
     """Full archive mode: every series fetched through the tier (with
     its replica-choosing read path) equals the single store's copy --
-    across both the scalar update path and the columnar batch scatter,
-    and across live rebalance migrations."""
-    base, tiered = build_twins(columnar=columnar, archive_mode="full")
+    the columnar batch scatter for cluster detail, scalar updates for
+    summaries -- across live rebalance migrations."""
+    base, tiered = build_twins(archive_mode="full")
     run_both(base, tiered, 150.0)
     for fed in (base, tiered):
         fed.pseudos["sdsc-c0"].mutate(hosts=[1])

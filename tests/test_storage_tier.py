@@ -95,6 +95,24 @@ class TestTierSurface:
                 single.fetch_series(k, 0.0, 200.0),
             )
 
+    def test_column_writes_credit_each_group_like_scalar_writes(
+        self, engine
+    ):
+        """The rebalance's update-rate features see one update per key
+        whichever write path ran -- a shard's column chunk spans several
+        groups, and each group gets its own count."""
+        scalar = make_tier(engine, shards=2)
+        columnar = make_tier(engine, shards=2)
+        keys = [key(f"h{i}", m) for i in range(6) for m in ("a", "b")]
+        plan = columnar.column_plan(keys)
+        for i in range(3):
+            t = 15.0 * (i + 1)
+            columnar.update_columns(plan, t, np.arange(len(keys), dtype=float))
+            for k in keys:
+                scalar.update(k, t, 1.0)
+        assert len(plan._chunks) < len({k.host for k in keys})
+        assert columnar._collect_features() == scalar._collect_features()
+
     def test_update_summary_writes_base_and_num(self, engine):
         tier = make_tier(engine)
         tier.update_summary("sdsc", "c0", "load_one", 15.0, 42.0, 7)
